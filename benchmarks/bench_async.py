@@ -12,6 +12,10 @@ execution modes and reports what the redesign promises:
   than the power iteration, and its L1 distance to a high-precision
   reference must stay within the documented
   :attr:`~repro.engine.async_mode.AsyncPageRankResult.epsilon` bound;
+* **wall clock** — async delta-PageRank must finish in no more wall
+  time than the synchronous power iteration it replaces (its simulated
+  time is recorded beside it, and is still several times sync's: each
+  activation wave is one engine phase);
 * **determinism** — one seeded async run per executor kind, digests
   compared bit for bit.
 
@@ -98,6 +102,7 @@ def bench_pagerank(graph, args):
     t0 = time.perf_counter()
     sync = pagerank(engine, iterations=1000, tolerance=args.pr_tolerance)
     sync_wall = time.perf_counter() - t0
+    sync_sim = engine.execution_time()
     n_active = int((graph.in_degrees() > 0).sum())
     sync_activations = sync.iterations * n_active
     sync_l1 = float(np.abs(sync.rank - reference.rank).sum())
@@ -108,6 +113,7 @@ def bench_pagerank(graph, args):
         engine, seed=args.seed, stop_mass=args.pr_tolerance
     )
     async_wall = time.perf_counter() - t0
+    async_sim = engine.execution_time()
     async_l1 = float(np.abs(awr.rank - reference.rank).sum())
 
     return {
@@ -117,15 +123,19 @@ def bench_pagerank(graph, args):
         "sync_activations": sync_activations,
         "sync_l1_error": sync_l1,
         "sync_wall_seconds": sync_wall,
+        "sync_simulated_time": sync_sim,
         "async_buckets": awr.buckets,
         "async_waves": awr.waves,
         "async_activations": awr.activations,
         "async_l1_error": async_l1,
         "async_epsilon_bound": awr.epsilon,
         "async_wall_seconds": async_wall,
+        "async_simulated_time": async_sim,
         "activation_ratio": awr.activations / sync_activations,
         "fewer_activations": awr.activations < sync_activations,
         "within_epsilon": async_l1 <= awr.epsilon,
+        "wall_ratio": async_wall / sync_wall,
+        "async_not_slower": async_wall <= sync_wall,
     }
 
 
@@ -173,6 +183,12 @@ def print_report(report):
         f"({pr['sync_iterations']} sweeps x {pr['n_active']} active) "
         f"vs async {pr['async_activations']} "
         f"({pr['activation_ratio']:.2f}x)"
+    )
+    print(
+        f"pagerank wall: sync {pr['sync_wall_seconds']:.3f}s vs async "
+        f"{pr['async_wall_seconds']:.3f}s ({pr['wall_ratio']:.2f}x); "
+        f"simulated: sync {pr['sync_simulated_time']:.1f} vs async "
+        f"{pr['async_simulated_time']:.1f}"
     )
     print(
         f"pagerank error: sync L1 {pr['sync_l1_error']:.2e}, "
@@ -229,6 +245,7 @@ def main(argv=None):
         not failures
         and pr["fewer_activations"]
         and pr["within_epsilon"]
+        and pr["async_not_slower"]
         and det["identical"]
     )
     report = {
@@ -246,6 +263,7 @@ def main(argv=None):
             "machines": args.machines,
             "seed": args.seed,
             "root": args.root,
+            "cpu_count": os.cpu_count(),
         },
         "exact": exact_rows,
         "pagerank": pr,

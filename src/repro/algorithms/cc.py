@@ -74,9 +74,7 @@ def connected_components(
         if not result.any_changed:
             break
         # Only vertices adjacent to a changed label can improve next round.
-        active = np.zeros(n, dtype=bool)
-        for v in result.changed:
-            active[graph.out_neighbors(int(v))] = True
+        active = graph.out_neighbor_mask(result.changed)
         active &= graph.in_degrees() > 0
 
     return CCResult(label=s.label.copy(), iterations=iterations)

@@ -105,10 +105,7 @@ class IncrementalResult:
 
 
 def _frontier(graph: CSRGraph, changed: np.ndarray, pullable: np.ndarray):
-    active = np.zeros(graph.num_vertices, dtype=bool)
-    for v in changed:
-        active[graph.out_neighbors(int(v))] = True
-    return active & pullable
+    return graph.out_neighbor_mask(changed) & pullable
 
 
 def _relax_to_fixpoint(engine, signal, slot, state, active) -> int:

@@ -218,7 +218,7 @@ def run_sources(graph, config, default_count: int) -> np.ndarray:
     n = graph.num_vertices
     bad = sources[(sources < 0) | (sources >= n)]
     if bad.size:
-        raise ValueError(
+        raise EngineError(
             f"sources {bad.tolist()} out of range for a graph with "
             f"{n} vertices"
         )

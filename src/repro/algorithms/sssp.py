@@ -87,9 +87,7 @@ def sssp(
         if iterations >= limit:
             raise ConvergenceError("SSSP exceeded its iteration budget")
         # only vertices adjacent to a changed distance can improve
-        candidates = np.zeros(n, dtype=bool)
-        for u in np.flatnonzero(frontier):
-            candidates[graph.out_neighbors(int(u))] = True
+        candidates = graph.out_neighbor_mask(np.flatnonzero(frontier))
         candidates &= active
         if not candidates.any():
             break

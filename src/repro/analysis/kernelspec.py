@@ -16,6 +16,19 @@ batching meets Palgol-style UDF compilation):
 * ``full_scan_min`` — fold the minimum of a neighbor key and emit it
   when it improves (label-propagation CC).
 
+Two further grammars cover the UDFs that run once per edge or per
+update rather than once per vertex (GPOP-style scatter into
+destination bins, then one reduction pass per bin):
+
+* ``push_gather`` — a push signal ``(u, v, s)`` that is an
+  unconditional ``return <expr>``, ``if <pred>: return None`` followed
+  by ``return <expr>``, or ``return <expr> if <pred> else None`` (PageRank
+  residual push, top-down BFS, MIS deactivation);
+* ``slot_sum`` / ``slot_min`` / ``slot_first`` — a slot ``(v, value, s)``
+  that is a sum fold ``s.x[v] += value``, a strict-min relax
+  ``if value < s.x[v]: s.x[v] = value``, or a first-update-wins visit
+  ``if s.flag[v]: return False`` followed by plain writes.
+
 Classification is *best effort and conservative*: any statement,
 expression, or side effect outside the recognized grammar simply
 yields no :class:`KernelSpec`, and the engines fall back to the
@@ -37,7 +50,7 @@ from __future__ import annotations
 import ast
 import copy
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,12 +64,24 @@ __all__ = [
     "COUNT_TO_K_BREAK",
     "FULL_SCAN_SUM",
     "FULL_SCAN_MIN",
+    "PUSH_GATHER",
+    "SLOT_SUM",
+    "SLOT_MIN",
+    "SLOT_FIRST",
+    "SLOT_KINDS",
+    "classify_push",
+    "classify_slot",
 ]
 
 FIRST_MATCH_BREAK = "first_match_break"
 COUNT_TO_K_BREAK = "count_to_k_break"
 FULL_SCAN_SUM = "full_scan_sum"
 FULL_SCAN_MIN = "full_scan_min"
+PUSH_GATHER = "push_gather"
+SLOT_SUM = "slot_sum"
+SLOT_MIN = "slot_min"
+SLOT_FIRST = "slot_first"
+SLOT_KINDS = (SLOT_SUM, SLOT_MIN, SLOT_FIRST)
 
 
 class _NoMatch(Exception):
@@ -75,7 +100,17 @@ class KernelSpec:
     * ``first_match_break`` — ``predicate``, ``emit``;
     * ``count_to_k_break`` — ``predicate``, ``threshold``, ``init``;
     * ``full_scan_sum`` — ``term``, ``init``;
-    * ``full_scan_min`` — ``term`` (the neighbor key), ``init``.
+    * ``full_scan_min`` — ``term`` (the neighbor key), ``init``;
+    * ``push_gather`` — ``value`` plus an optional ``skip`` (the
+      ``return None`` guard) or ``keep`` (the conditional-expression
+      test); ``u`` is the pushing vertex, ``v`` the out-neighbor;
+    * ``slot_first`` — one ``write<i>`` role per written array, with
+      ``u`` bound to the update value.
+
+    Slot kinds name their target arrays in ``params``: ``target`` and
+    ``returns`` (the constant a successful update returns) for the
+    folds; ``flag``, ``negated``, ``writes`` and ``returns`` for
+    ``slot_first``.
 
     ``sources`` holds the unparse of each compiled expression so users
     can inspect what the classifier extracted, mirroring
@@ -88,6 +123,7 @@ class KernelSpec:
     carried_vars: Tuple[str, ...]
     sources: Dict[str, str]
     exprs: Dict[str, Callable] = field(repr=False, default_factory=dict)
+    params: Dict[str, Any] = field(default_factory=dict)
 
     def compatible(self, state) -> bool:
         """Can this spec run against ``state``'s current field layout?
@@ -104,6 +140,8 @@ class KernelSpec:
             if not isinstance(value, np.ndarray):
                 return False
             if value.ndim != 1 or value.shape[0] != state.num_vertices:
+                return False
+            if value.dtype.kind == "O":
                 return False
         for name in self.scalars:
             if name not in state:
@@ -588,3 +626,234 @@ def classify_kernel(
         return None
     except Exception:  # pragma: no cover - defensive: never break analysis
         return None
+
+
+# -- push signals and slots --------------------------------------------------
+
+
+def _body(sig: SignalAst) -> List[ast.stmt]:
+    func = sig.func
+    if (
+        len(sig.params) != 3
+        or func.args.vararg is not None
+        or func.args.kwarg is not None
+        or func.args.kwonlyargs
+        or func.args.defaults
+        or func.decorator_list
+    ):
+        raise _NoMatch("expected a plain three-parameter function")
+    return [stmt for stmt in func.body if not _is_docstring(stmt)]
+
+
+def _is_none(node: Optional[ast.expr]) -> bool:
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+def _const_bool(node: Optional[ast.expr]) -> bool:
+    """Value of a literal ``True``/``False``, or raise."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, bool):
+        return node.value
+    raise _NoMatch("expected a literal True/False")
+
+
+def _return_value(stmt: ast.stmt) -> ast.expr:
+    if isinstance(stmt, ast.Return) and stmt.value is not None:
+        return stmt.value
+    raise _NoMatch("expected return <expr>")
+
+
+def _spec(
+    kind: str,
+    sig: SignalAst,
+    roles: Dict[str, ast.expr],
+    u_name: str,
+    v_name: str,
+    params: Dict[str, Any],
+    written: Tuple[str, ...] = (),
+) -> KernelSpec:
+    exprs: Dict[str, Callable] = {}
+    sources: Dict[str, str] = {}
+    arrays: List[str] = list(written)
+    scalars: List[str] = []
+    for role, expr in roles.items():
+        fn, source, arrs, scs = _compile_expr(expr, sig.params[2], v_name, u_name)
+        if set(arrs) & set(written):
+            raise _NoMatch("right-hand side reads an array the slot writes")
+        exprs[role] = fn
+        sources[role] = source
+        arrays.extend(arrs)
+        scalars.extend(scs)
+    return KernelSpec(
+        kind=kind,
+        arrays=tuple(dict.fromkeys(arrays)),
+        scalars=tuple(dict.fromkeys(scalars)),
+        carried_vars=(),
+        sources=sources,
+        exprs=exprs,
+        params=params,
+    )
+
+
+def _match_push(sig: SignalAst) -> KernelSpec:
+    """``return e`` / ``if p: return None; return e`` / ``e if p else None``."""
+    if signal_effects(sig):
+        raise _NoMatch("push signal has side effects")
+    body = _body(sig)
+    u_name, v_name = sig.params[0], sig.params[1]
+    roles: Dict[str, ast.expr] = {}
+    if len(body) == 2:
+        iff = _plain_if(body[0])
+        if not (
+            len(iff.body) == 1
+            and isinstance(iff.body[0], ast.Return)
+            and _is_none(iff.body[0].value)
+        ):
+            raise _NoMatch("guard must be `if <pred>: return None`")
+        roles["skip"] = iff.test
+        value = _return_value(body[1])
+    elif len(body) == 1:
+        value = _return_value(body[0])
+        if isinstance(value, ast.IfExp):
+            if not _is_none(value.orelse):
+                raise _NoMatch("conditional push must fall back to None")
+            roles["keep"] = value.test
+            value = value.body
+    else:
+        raise _NoMatch("push signal is one guarded return")
+    roles["value"] = value
+    return _spec(PUSH_GATHER, sig, roles, u_name, v_name, {})
+
+
+def _vertex_write(node: ast.expr, sig: SignalAst) -> str:
+    """Array name of a ``s.<name>[v]`` target, or raise."""
+    if (
+        isinstance(node, ast.Subscript)
+        and isinstance(node.slice, ast.Name)
+        and node.slice.id == sig.params[0]
+        and isinstance(node.value, ast.Attribute)
+        and isinstance(node.value.value, ast.Name)
+        and node.value.value.id == sig.params[2]
+    ):
+        return node.value.attr
+    raise _NoMatch("expected s.<array>[v]")
+
+
+def _is_value(node: ast.expr, sig: SignalAst) -> bool:
+    return isinstance(node, ast.Name) and node.id == sig.params[1]
+
+
+def _match_slot_sum(sig: SignalAst, body: List[ast.stmt]) -> KernelSpec:
+    """``s.x[v] += value; return <bool>``"""
+    if len(body) != 2:
+        raise _NoMatch("sum slot is fold + return")
+    fold = body[0]
+    if not (
+        isinstance(fold, ast.AugAssign)
+        and isinstance(fold.op, ast.Add)
+        and _is_value(fold.value, sig)
+    ):
+        raise _NoMatch("fold must be `s.x[v] += value`")
+    target = _vertex_write(fold.target, sig)
+    returns = _const_bool(_return_value(body[1]))
+    return _spec(SLOT_SUM, sig, {}, sig.params[1], sig.params[0],
+                 {"target": target, "returns": returns}, (target,))
+
+
+def _match_slot_min(sig: SignalAst, body: List[ast.stmt]) -> KernelSpec:
+    """``if value < s.x[v]: s.x[v] = value; return <bool>`` then ``return False``"""
+    if len(body) != 2 or _const_bool(_return_value(body[1])):
+        raise _NoMatch("min slot is relax + `return False`")
+    iff = _plain_if(body[0])
+    test = iff.test
+    if not (
+        isinstance(test, ast.Compare)
+        and len(test.ops) == 1
+        and isinstance(test.ops[0], ast.Lt)
+        and _is_value(test.left, sig)
+        and len(iff.body) == 2
+        and isinstance(iff.body[0], ast.Assign)
+        and len(iff.body[0].targets) == 1
+        and _is_value(iff.body[0].value, sig)
+    ):
+        raise _NoMatch("relax must be `if value < s.x[v]: s.x[v] = value`")
+    target = _vertex_write(test.comparators[0], sig)
+    if _vertex_write(iff.body[0].targets[0], sig) != target:
+        raise _NoMatch("relax must write the compared array")
+    returns = _const_bool(_return_value(iff.body[1]))
+    return _spec(SLOT_MIN, sig, {}, sig.params[1], sig.params[0],
+                 {"target": target, "returns": returns}, (target,))
+
+
+def _match_slot_first(sig: SignalAst, body: List[ast.stmt]) -> KernelSpec:
+    """``if s.flag[v]: return False`` (or ``not``), writes, ``return <bool>``"""
+    if len(body) < 3:
+        raise _NoMatch("first-update slot is guard + writes + return")
+    iff = _plain_if(body[0])
+    if not (
+        len(iff.body) == 1
+        and _const_bool(_return_value(iff.body[0])) is False
+    ):
+        raise _NoMatch("guard must be `if s.flag[v]: return False`")
+    test = iff.test
+    negated = isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not)
+    flag = _vertex_write(test.operand if negated else test, sig)
+    writes: List[Tuple[str, str]] = []
+    roles: Dict[str, ast.expr] = {}
+    closes = False
+    for i, stmt in enumerate(body[1:-1]):
+        if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):
+            raise _NoMatch("writes must be single-target assignments")
+        name = _vertex_write(stmt.targets[0], sig)
+        if name == flag:
+            # the guard must hold after the flag write, or a repeated
+            # destination would apply twice
+            closes = _const_bool(stmt.value) is not negated
+        role = f"write{i}"
+        writes.append((name, role))
+        roles[role] = stmt.value
+    if not closes:
+        raise _NoMatch("writes must set the guard flag")
+    returns = _const_bool(_return_value(body[-1]))
+    written = tuple(dict.fromkeys(name for name, _ in writes))
+    return _spec(
+        SLOT_FIRST, sig, roles, sig.params[1], sig.params[0],
+        {"flag": flag, "negated": negated, "writes": tuple(writes),
+         "returns": returns},
+        written,
+    )
+
+
+def _match_slot(sig: SignalAst) -> KernelSpec:
+    body = _body(sig)
+    for matcher in (_match_slot_sum, _match_slot_min, _match_slot_first):
+        try:
+            return matcher(sig, body)
+        except _NoMatch:
+            continue
+    raise _NoMatch("slot is outside the fold grammars")
+
+
+def _classify_fn(fn: Callable, matcher) -> Optional[KernelSpec]:
+    from repro.analysis.ast_analysis import parse_signal
+
+    try:
+        sig = parse_signal(fn)
+        # getsource of a lambda yields its enclosing line, which may
+        # parse as some other function
+        if sig.loop is not None or sig.func.name != fn.__name__:
+            return None
+        return matcher(sig)
+    except Exception:
+        # _NoMatch, unparseable source, or anything unexpected: the
+        # interpreter runs the UDF
+        return None
+
+
+def classify_push(fn: Callable) -> Optional[KernelSpec]:
+    """Classify a push signal ``(u, v, s)`` as ``push_gather``, or None."""
+    return _classify_fn(fn, _match_push)
+
+
+def classify_slot(fn: Callable) -> Optional[KernelSpec]:
+    """Classify a slot ``(v, value, s)`` as a slot fold kind, or None."""
+    return _classify_fn(fn, _match_slot)

@@ -1,8 +1,9 @@
 """Kernel-contract certification: re-derive what the classifier assumed.
 
 The classifier in :mod:`repro.analysis.kernelspec` pattern-matches a
-UDF against four shapes and, on a match, the engines execute a batched
-NumPy kernel *instead of* the UDF.  That substitution is only sound if
+UDF against its shapes (four pull-signal shapes, the push gather and
+three slot folds) and, on a match, the engines execute a batched NumPy
+kernel *instead of* the UDF.  That substitution is only sound if
 the UDF really has the properties the shape's kernel exploits — pure
 reads, order-insensitive folds, declared effect sets.  This module
 re-derives those properties **independently** from the abstract
@@ -23,6 +24,10 @@ Obligations common to every shape:
 ``emit-arity``       every emit call passes exactly one positional arg
 ``emit-numeric``     every emitted value has a numeric abstract type
 
+The per-edge and per-update kinds (``push_gather`` and the slot folds)
+have no neighbor loop and no emit; their contracts replace the common
+set with their own read, write and return obligations.
+
 Per-shape obligations (each contract documents its own).  The spec is
 an explicit argument so mutation tests can pair a tampered UDF with a
 pristine classification — certification never trusts the classifier it
@@ -32,14 +37,19 @@ is checking.
 from __future__ import annotations
 
 import ast
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.analysis.ast_analysis import DependencyInfo, SignalAst
+from repro.analysis.ast_analysis import DependencyInfo, SignalAst, _walk_same_scope
 from repro.analysis.kernelspec import (
     COUNT_TO_K_BREAK,
     FIRST_MATCH_BREAK,
     FULL_SCAN_MIN,
     FULL_SCAN_SUM,
+    PUSH_GATHER,
+    SLOT_FIRST,
+    SLOT_KINDS,
+    SLOT_MIN,
+    SLOT_SUM,
     KernelSpec,
 )
 from repro.analysis.verify.domain import FoldKind, is_numeric
@@ -80,29 +90,8 @@ class _Certifier:
                 "carried-exact",
                 s.sig.loop,
             )
-        arrays = set(self.spec.arrays)
-        scalars = set(self.spec.scalars)
-        loop_var = s.info.loop_var
         v_name = s.sig.params[0] if s.sig.params else None
-        for read in s.state_reads:
-            declared = arrays if read.kind == "array" else scalars
-            if read.attr not in declared:
-                self.fail(
-                    f"UDF reads state {read.kind} {read.attr!r} that the "
-                    f"spec does not declare (arrays={self.spec.arrays}, "
-                    f"scalars={self.spec.scalars})",
-                    "reads-declared",
-                    read.node,
-                )
-            if read.kind == "array" and read.index not in (loop_var, v_name):
-                self.fail(
-                    f"array read {read.attr!r} indexed by "
-                    f"{read.index or '<expr>'!s}; kernels can only batch "
-                    "reads indexed by the loop variable or the "
-                    "destination vertex",
-                    "index-domain",
-                    read.node,
-                )
+        self.check_reads((s.info.loop_var, v_name))
         for site in s.emits:
             if len(site.node.args) != 1 or site.node.keywords:
                 self.fail(
@@ -119,6 +108,50 @@ class _Certifier:
                     "emit-numeric",
                     site.node,
                 )
+
+    def check_reads(self, indices: Tuple[Optional[str], ...]) -> None:
+        """``reads-declared`` and ``index-domain`` over every state read."""
+        s = self.summary
+        arrays = set(self.spec.arrays)
+        scalars = set(self.spec.scalars)
+        for read in s.state_reads:
+            declared = arrays if read.kind == "array" else scalars
+            if read.attr not in declared:
+                self.fail(
+                    f"UDF reads state {read.kind} {read.attr!r} that the "
+                    f"spec does not declare (arrays={self.spec.arrays}, "
+                    f"scalars={self.spec.scalars})",
+                    "reads-declared",
+                    read.node,
+                )
+            if read.kind == "array" and read.index not in indices:
+                self.fail(
+                    f"array read {read.attr!r} indexed by "
+                    f"{read.index or '<expr>'!s}; kernels can only batch "
+                    f"reads indexed by {' or '.join(filter(None, indices))}",
+                    "index-domain",
+                    read.node,
+                )
+
+    def no_calls(self) -> None:
+        """``no-calls``: the kernel evaluates expressions as array
+        programs, so a call (whose effects the purity scan cannot see
+        through, e.g. a module-level list's ``append``) has no batched
+        equivalent."""
+        for node in _walk_same_scope(self.sig.func):
+            if isinstance(node, ast.Call):
+                self.fail(
+                    f"{self.spec.kind} kernels batch pure expressions; "
+                    f"found a call {ast.unparse(node)}",
+                    "no-calls",
+                    node,
+                )
+
+    def returns(self) -> List[ast.Return]:
+        return [
+            node for node in _walk_same_scope(self.sig.func)
+            if isinstance(node, ast.Return)
+        ]
 
     # -- shared shape fragments ----------------------------------------
 
@@ -412,12 +445,284 @@ def _certify_full_scan_min(c: _Certifier) -> None:
         )
 
 
+def _is_none(node: Optional[ast.expr]) -> bool:
+    return node is None or (
+        isinstance(node, ast.Constant) and node.value is None
+    )
+
+
+def _certify_push_gather(c: _Certifier) -> None:
+    """``push_gather``: a pure map from one out-edge ``(u, v)`` to a
+    value or None.
+
+    Obligations: ``purity``, ``no-loop`` (no neighbor loop and no
+    emit: the engine calls the signal once per edge, and the kernel
+    evaluates it once per edge), ``reads-declared`` and
+    ``index-domain`` (array reads indexed by ``u`` or ``v`` only),
+    ``no-calls``,
+    ``single-value`` (exactly one return delivers a value — the
+    function's last statement, optionally ``<value> if <pred> else
+    None`` — and every other return is ``return None``) and
+    ``value-numeric``."""
+    s = c.summary
+    for effect in s.effects:
+        c.fail(
+            f"push signal has side effects ({effect.kind}: "
+            f"{effect.detail})",
+            "purity",
+            effect.node,
+        )
+    if s.sig.loop is not None or s.emits:
+        c.fail(
+            "push kernels map one edge at a time; this UDF loops over "
+            "neighbors or emits",
+            "no-loop",
+            s.sig.loop or s.emits[0].node,
+        )
+    c.check_reads(tuple(s.sig.params[:2]))
+    c.no_calls()
+    valued = [r for r in c.returns() if not _is_none(r.value)]
+    last = s.sig.func.body[-1]
+    if len(valued) != 1 or valued[0] is not last:
+        c.fail(
+            "a push signal returns exactly one value, as its last "
+            f"statement; found {len(valued)} value-returning return(s)",
+            "single-value",
+            valued[0] if valued else s.sig.func,
+        )
+    value = last.value
+    if isinstance(value, ast.IfExp):
+        if not _is_none(value.orelse):
+            c.fail(
+                "a conditional push must fall back to None",
+                "single-value",
+                last,
+            )
+        value = value.body
+    t = s.type_of_expr(value)
+    if not is_numeric(t):
+        c.fail(
+            f"pushed value has abstract type {t!r}; kernels batch "
+            "numeric values only",
+            "value-numeric",
+            last,
+        )
+
+
+def _first_stmt(sig: SignalAst) -> ast.stmt:
+    """First statement after an optional docstring."""
+    body = sig.func.body
+    first = body[0]
+    if (
+        len(body) > 1
+        and isinstance(first, ast.Expr)
+        and isinstance(first.value, ast.Constant)
+        and isinstance(first.value.value, str)
+    ):
+        return body[1]
+    return first
+
+
+def _vertex_target(node: ast.AST, sig: SignalAst) -> Optional[str]:
+    """Array name of a ``s.<name>[v]`` expression, else None."""
+    if (
+        isinstance(node, ast.Subscript)
+        and isinstance(node.slice, ast.Name)
+        and node.slice.id == sig.params[0]
+        and isinstance(node.value, ast.Attribute)
+        and isinstance(node.value.value, ast.Name)
+        and node.value.value.id == sig.params[2]
+    ):
+        return node.value.attr
+    return None
+
+
+def _slot_writes(c: _Certifier) -> Dict[str, List[ast.AST]]:
+    """Written array -> write statements; every effect must be one."""
+    sig = c.sig
+    writes: Dict[str, List[ast.AST]] = {}
+    for node in _walk_same_scope(sig.func):
+        if isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = (
+                node.targets if isinstance(node, ast.Assign) else [node.target]
+            )
+            for target in targets:
+                name = _vertex_target(target, sig)
+                if name is None:
+                    c.fail(
+                        f"slot writes {ast.unparse(target)}; slot folds "
+                        "write only s.<array>[v]",
+                        "slot-writes",
+                        node,
+                    )
+                writes.setdefault(name, []).append(node)
+    for effect in c.summary.effects:
+        if effect.kind != "state-mutation" or _vertex_target(
+            effect.node, sig
+        ) is None:
+            c.fail(
+                f"slot has side effects beyond its vertex writes "
+                f"({effect.kind}: {effect.detail})",
+                "purity",
+                effect.node,
+            )
+    return writes
+
+
+def _certify_slot(c: _Certifier) -> None:
+    """Slot folds: ``slot_sum``, ``slot_min``, ``slot_first``.
+
+    Common obligations: ``purity`` (no effect but writes through
+    ``s.<array>[v]`` — ``slot-writes``), ``writes-declared`` (the
+    written arrays are exactly the spec's), ``reads-declared`` and
+    ``index-domain`` (reads indexed by ``v`` or the value),
+    ``no-calls``, and
+    ``returns-constant`` (every return is a literal bool, the last
+    statement among them).
+
+    Per kind: ``fold-sum`` (the only write is ``s.x[v] += value``);
+    ``strict-min`` (the only write is ``s.x[v] = value`` under ``if
+    value < s.x[v]``); ``guard-closes`` (the first statement is ``if
+    s.flag[v]: return False``, or its ``not`` form, and a literal write
+    to the flag makes the guard hold afterwards, so a repeated vertex
+    applies once) and ``write-read-disjoint`` (no right-hand side reads
+    a written array — the kernel evaluates them all before writing)."""
+    spec, sig = c.spec, c.sig
+    writes = _slot_writes(c)
+    if spec.kind == SLOT_FIRST:
+        declared = {name for name, _ in spec.params.get("writes", ())}
+    else:
+        declared = {spec.params.get("target")}
+    if set(writes) != declared:
+        c.fail(
+            f"slot writes {sorted(writes)} but the spec declares "
+            f"{sorted(n for n in declared if n)}",
+            "writes-declared",
+            sig.func,
+        )
+    c.check_reads(tuple(sig.params[:2]))
+    c.no_calls()
+    returns = c.returns()
+    for ret in returns:
+        if not (
+            isinstance(ret.value, ast.Constant)
+            and isinstance(ret.value.value, bool)
+        ):
+            c.fail(
+                "slot folds return literal True/False only",
+                "returns-constant",
+                ret,
+            )
+    if not isinstance(sig.func.body[-1], ast.Return):
+        c.fail(
+            "a slot fold must end with its return",
+            "returns-constant",
+            sig.func,
+        )
+    value = sig.params[1]
+    nodes = [node for stmts in writes.values() for node in stmts]
+    if spec.kind == SLOT_SUM:
+        node = nodes[0]
+        if not (
+            len(nodes) == 1
+            and isinstance(node, ast.AugAssign)
+            and isinstance(node.op, ast.Add)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == value
+        ):
+            c.fail(
+                "a sum fold's only write is s.x[v] += value",
+                "fold-sum",
+                node,
+            )
+    elif spec.kind == SLOT_MIN:
+        node = nodes[0]
+        guard = _first_stmt(sig)
+        target = spec.params.get("target")
+        if not (
+            len(nodes) == 1
+            and isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == value
+            and isinstance(guard, ast.If)
+            and node in guard.body
+            and isinstance(guard.test, ast.Compare)
+            and len(guard.test.ops) == 1
+            and isinstance(guard.test.ops[0], ast.Lt)
+            and isinstance(guard.test.left, ast.Name)
+            and guard.test.left.id == value
+            and _vertex_target(guard.test.comparators[0], sig) == target
+        ):
+            c.fail(
+                "a min fold's only write is s.x[v] = value under "
+                "if value < s.x[v]",
+                "strict-min",
+                node,
+            )
+    else:
+        _certify_first_update(c, writes)
+
+
+def _certify_first_update(
+    c: _Certifier, writes: Dict[str, List[ast.AST]]
+) -> None:
+    sig = c.sig
+    guard = _first_stmt(sig)
+    test = guard.test if isinstance(guard, ast.If) else None
+    negated = isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not)
+    flag = _vertex_target(test.operand if negated else test, sig)
+    if not (
+        flag is not None
+        and len(guard.body) == 1
+        and isinstance(guard.body[0], ast.Return)
+        and isinstance(guard.body[0].value, ast.Constant)
+        and guard.body[0].value.value is False
+    ):
+        c.fail(
+            "a first-update slot starts with if s.flag[v]: return False",
+            "guard-closes",
+            guard,
+        )
+    closes = [
+        node for node in writes.get(flag, ())
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Constant)
+        and bool(node.value.value) is not negated
+    ]
+    if not closes:
+        c.fail(
+            f"no literal write to {flag!r} makes the guard hold; a "
+            "repeated vertex would apply twice",
+            "guard-closes",
+            guard,
+        )
+    for node in (n for stmts in writes.values() for n in stmts):
+        for sub in ast.walk(node.value):
+            if (
+                isinstance(sub, ast.Attribute)
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id == sig.params[2]
+                and sub.attr in writes
+            ):
+                c.fail(
+                    f"right-hand side reads {sub.attr!r}, which the slot "
+                    "writes; batched writes would see a different value",
+                    "write-read-disjoint",
+                    node,
+                )
+
+
 CONTRACTS: Dict[str, Callable[[_Certifier], None]] = {
     FIRST_MATCH_BREAK: _certify_first_match,
     COUNT_TO_K_BREAK: _certify_count_to_k,
     FULL_SCAN_SUM: _certify_full_scan_sum,
     FULL_SCAN_MIN: _certify_full_scan_min,
+    PUSH_GATHER: _certify_push_gather,
+    **{kind: _certify_slot for kind in SLOT_KINDS},
 }
+
+#: kinds whose contract stands alone (no neighbor loop, no emit)
+_LOOPLESS = (PUSH_GATHER,) + SLOT_KINDS
 
 
 def contract_kinds() -> Tuple[str, ...]:
@@ -461,6 +766,7 @@ def certify_spec(
             "unknown-kind",
             sig.func,
         )
-    certifier.check_common()
+    if spec.kind not in _LOOPLESS:
+        certifier.check_common()
     contract(certifier)
     return summary

@@ -110,14 +110,6 @@ def _resolve_width(algorithm: str, graph, width: Optional[float]) -> float:
     return width
 
 
-def _out_candidates(graph, frontier_idx: np.ndarray, n: int) -> np.ndarray:
-    """Boolean mask of out-neighbors of the frontier."""
-    candidates = np.zeros(n, dtype=bool)
-    for u in frontier_idx:
-        candidates[graph.out_neighbors(int(u))] = True
-    return candidates
-
-
 def _bucket_begin(engine, bucket: int, lo: float, hi: float,
                   size: int) -> None:
     if engine.obs is not None:
@@ -213,7 +205,6 @@ class AsyncBFSProgram(VertexProgram):
         if not pending.any():
             return False
         graph = engine.graph
-        n = graph.num_vertices
         width, offset = ctx["width"], ctx["offset"]
         bucket = (int(s.depth[pending].min()) + offset) // width
         lo = bucket * width - offset
@@ -230,7 +221,7 @@ class AsyncBFSProgram(VertexProgram):
             s.expanded[frontier_idx] = True
             waves += 1
             activations += int(frontier_idx.size)
-            candidates = _out_candidates(graph, frontier_idx, n)
+            candidates = graph.out_neighbor_mask(frontier_idx)
             candidates &= ~s.visited
             candidates &= self._has_in
             if candidates.any():
@@ -332,7 +323,7 @@ def async_sssp(
             pending[frontier_idx] = False
             bucket_waves += 1
             bucket_activations += int(frontier_idx.size)
-            candidates = _out_candidates(graph, frontier_idx, n)
+            candidates = graph.out_neighbor_mask(frontier_idx)
             candidates &= active
             if candidates.any():
                 result = engine.pull(
@@ -417,7 +408,7 @@ def async_cc(
             pending[frontier_idx] = False
             bucket_waves += 1
             bucket_activations += int(frontier_idx.size)
-            candidates = _out_candidates(graph, frontier_idx, n)
+            candidates = graph.out_neighbor_mask(frontier_idx)
             candidates &= active
             if candidates.any():
                 result = engine.pull(

@@ -20,17 +20,20 @@ Definition 2.2 semantics so all engines compute identical results.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.analysis.instrument import AnalyzedSignal, instrument_signal
+from repro.analysis.kernelspec import KernelSpec, classify_push, classify_slot
 from repro.engine.state import StateStore
 from repro.exec import work
 from repro.errors import EngineError
 from repro.kernels import get_kernel
+from repro.kernels.slots import first_occurrence
 from repro.obs.hooks import ObsHub
 from repro.partition.base import Partition
 from repro.runtime.cost_model import CostModel
@@ -99,21 +102,77 @@ class PushResult:
 
 @dataclass
 class _UpdateBuffer:
-    """Updates collected during a phase, applied bulk-synchronously."""
+    """Updates collected during a phase, applied bulk-synchronously.
 
-    items: List[Tuple[int, object]] = field(default_factory=list)
+    Holds ``(vertices, values)`` chunks in arrival order: ``vertices``
+    an int64 array, ``values`` either an array (kernel emissions) or a
+    list of the interpreter's emitted objects, kept as-is so an
+    interpreted slot sees exactly the values the signal produced.
+    """
 
-    def add(self, v: int, value: object) -> None:
-        self.items.append((v, value))
+    chunks: List[Tuple[np.ndarray, Any]] = field(default_factory=list)
+    size: int = 0
+
+    def add(self, vertices: np.ndarray, values: Any) -> None:
+        if len(vertices):
+            self.chunks.append((vertices, values))
+            self.size += len(vertices)
+
+    def arrays(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """The whole buffer as ``(vertices, values)`` arrays.
+
+        Chunks must share one 1-D numeric dtype, with one exception:
+        int64 chunks mix into float64 ones (a circulant pull emits
+        restored carried values as float64 beside int64 first-step
+        values) when every int is below 2**53 in magnitude, so the
+        conversion is exact and preserves every comparison against an
+        int64 target.  Anything else returns ``None`` and stays on the
+        interpreter, which applies each value with its own scalar
+        semantics.
+        """
+        values = []
+        for _, chunk in self.chunks:
+            try:
+                arr = np.asarray(chunk)
+            except (TypeError, ValueError):
+                return None
+            if arr.ndim != 1 or arr.dtype.kind not in "biuf":
+                return None
+            values.append(arr)
+        dtypes = {arr.dtype for arr in values}
+        if len(dtypes) > 1:
+            if dtypes != {np.dtype(np.int64), np.dtype(np.float64)}:
+                return None
+            if any(
+                arr.dtype.kind == "i" and (np.abs(arr) >= 2**53).any()
+                for arr in values
+            ):
+                return None
+            values = [arr.astype(np.float64, copy=False) for arr in values]
+        if len(values) == 1:
+            return self.chunks[0][0], values[0]
+        return (
+            np.concatenate([vs for vs, _ in self.chunks]),
+            np.concatenate(values),
+        )
 
     def apply(
         self, slot: Callable, state: StateStore
     ) -> Tuple[np.ndarray, int]:
+        """Apply every update through the slot UDF, in buffer order."""
         changed: Dict[int, None] = {}
-        for v, value in self.items:
-            if slot(v, value, state):
-                changed[v] = None
-        return np.fromiter(changed.keys(), dtype=np.int64), len(self.items)
+        for vertices, values in self.chunks:
+            for v, value in zip(vertices.tolist(), values):
+                if slot(v, value, state):
+                    changed[v] = None
+        return np.fromiter(changed.keys(), dtype=np.int64), self.size
+
+
+def _flatten_emissions(emit_v: Sequence[int], emit_values: Sequence[list]):
+    """Per-vertex interpreter emission lists as one buffer chunk."""
+    counts = [len(values) for values in emit_values]
+    vertices = np.repeat(np.asarray(emit_v, dtype=np.int64), counts)
+    return vertices, [value for values in emit_values for value in values]
 
 
 class BaseEngine:
@@ -143,6 +202,14 @@ class BaseEngine:
         self.use_kernels = use_kernels
         self.verify = verify
         self._analyzed: Dict[int, AnalyzedSignal] = {}
+        # push/slot classifications, per function object (weak: slots
+        # are often closures built per call)
+        self._push_specs: "weakref.WeakKeyDictionary" = (
+            weakref.WeakKeyDictionary()
+        )
+        self._slot_specs: "weakref.WeakKeyDictionary" = (
+            weakref.WeakKeyDictionary()
+        )
         self._certified: Dict[int, bool] = {}
         self._fault_controller = None
         self.executor = None
@@ -275,6 +342,15 @@ class BaseEngine:
             self._analyzed[key] = cached
         return cached
 
+    @staticmethod
+    def _spec_of(cache, classify, fn: Callable) -> Optional[KernelSpec]:
+        """``classify(fn)``, cached in ``cache`` per function object."""
+        try:
+            return cache[fn]
+        except KeyError:
+            spec = cache[fn] = classify(fn)
+            return spec
+
     # -- phases ---------------------------------------------------------------
 
     def pull(
@@ -319,36 +395,57 @@ class BaseEngine:
         step = self._make_step(phase)
         buffer = _UpdateBuffer()
         push_msg: Dict[Tuple[int, int], int] = {}
+        plan = self._plan(
+            push_signal,
+            self._spec_of(self._push_specs, classify_push, push_signal),
+            state,
+        )
 
         results = self._map_machines(
             work.push_task,
-            {"signal": push_signal, "frontier": frontier_idx},
+            {
+                "signal": push_signal,
+                "frontier": frontier_idx,
+                "use_kernel": plan is not None,
+                "timed": self.obs is not None,
+            },
             [{"m": m} for m in range(self.num_machines)],
             state,
             step=step,
         )
+        master_of = self.partition.master_of
         for res in results:
             m = res["m"]
             step.high_edges[m] += res["edges"]
             step.high_vertices[m] += res["vertices"]
-            for op in res["ops"]:
-                if op[0] == "u":
-                    # frontier state of u must reach this machine's
-                    # out-edge replicas (free under outgoing edge-cut).
-                    self.network.send(op[1], m, "push", 8)
-                    step.update_bytes[op[1]] += 8
+            if self.obs is not None:
+                if res["kernel"] is None:
+                    self.obs.interp_edges("push", res["edges"])
                 else:
-                    _, v, value, dst_master = op
-                    if dst_master != m:
-                        key = (m, dst_master)
-                        push_msg[key] = push_msg.get(key, 0) + update_bytes
-                        step.update_bytes[m] += update_bytes
-                    buffer.add(v, value)
+                    self.obs.kernel_batch(
+                        m, res["kernel"], res["vertices"], res["edges"],
+                        res["seconds"],
+                    )
+            # frontier state of each remote-mastered u must reach this
+            # machine's out-edge replicas (free under outgoing edge-cut)
+            self._send_each(res["owners"], m, "push", 8, step)
+            targets = res["targets"]
+            masters = master_of[targets]
+            remote = masters[masters != m]
+            if remote.size:
+                # one coalesced message per (m, destination master),
+                # keyed in first-emission order
+                p = self.num_machines
+                counts = np.bincount(remote, minlength=p)
+                for dst in first_occurrence(remote, p).tolist():
+                    push_msg[(m, dst)] = update_bytes * int(counts[dst])
+                step.update_bytes[m] += update_bytes * int(remote.size)
+            buffer.add(targets, res["values"])
 
         for (src, dst), nbytes in push_msg.items():
             self.network.send(src, dst, "push", nbytes)
 
-        changed, applied = buffer.apply(slot, state)
+        changed, applied = self._apply_updates(buffer, slot, state)
         record.push_bytes = sum(push_msg.values())
         record.steps = [step]
         self._count_sync(changed, sync_bytes, record)
@@ -358,39 +455,88 @@ class BaseEngine:
         self.counters.add_vertices(int(step.high_vertices.sum()))
         return PushResult(changed, applied, int(step.high_edges.sum()))
 
+    def _send_each(
+        self, srcs: np.ndarray, dst: int, tag: str, nbytes: int,
+        step: StepRecord,
+    ) -> None:
+        """One ``nbytes`` message from each of ``srcs`` to ``dst``.
+
+        Sent in order, or grouped per source with ``messages=count``
+        when :meth:`_grouped_sends_ok` allows; each sender's
+        ``update_bytes`` is charged either way.
+        """
+        if srcs.size == 0:
+            return
+        np.add.at(step.update_bytes, srcs, nbytes)
+        if self._grouped_sends_ok():
+            senders, counts = np.unique(srcs, return_counts=True)
+            for src, cnt in zip(senders.tolist(), counts.tolist()):
+                self.network.send(src, dst, tag, nbytes * cnt, messages=cnt)
+        else:
+            for src in srcs.tolist():
+                self.network.send(src, dst, tag, nbytes)
+
+    def _apply_updates(
+        self, buffer: _UpdateBuffer, slot: Callable, state: StateStore
+    ) -> Tuple[np.ndarray, int]:
+        """Apply a phase's buffered updates; ``(changed, applied)``.
+
+        A classified slot fold applies the whole buffer in one kernel
+        call; an unclassified slot, a dtype the fold would cast
+        differently, or ``use_kernels=False`` runs the slot UDF once
+        per update (counted as ``repro_interp_edges_total{path="slot"}``).
+        """
+        if buffer.size == 0:
+            return np.zeros(0, dtype=np.int64), 0
+        plan = self._plan(
+            slot, self._spec_of(self._slot_specs, classify_slot, slot), state
+        )
+        if plan is not None:
+            arrays = buffer.arrays()
+            if arrays is not None:
+                spec, kernel = plan
+                changed = kernel(spec, state, *arrays)
+                if changed is not None:
+                    return changed, buffer.size
+        if self.obs is not None:
+            self.obs.interp_edges("slot", buffer.size)
+        return buffer.apply(slot, state)
+
     # -- batched kernel fast path ---------------------------------------------
 
     def _kernel_plan(self, analyzed: AnalyzedSignal, state: StateStore):
+        """``(spec, kernel)`` when a pull signal's fast path applies."""
+        return self._plan(analyzed.original, analyzed.kernel, state)
+
+    def _plan(self, fn: Callable, spec, state: StateStore):
         """``(spec, kernel)`` when the batched fast path applies, else None.
 
         Requires the engine opt-in (``use_kernels``), a classification
-        from the analyzer, a registered kernel for its kind, and a
-        state layout matching the arrays the compiled expressions read.
-        Any miss means the per-vertex interpreter runs — the fallback
-        contract documented in ``docs/API.md``.
+        of ``fn`` (a pull signal, push signal, or slot), a certified
+        contract when ``verify`` is on, a registered kernel for its
+        kind, and a state layout matching the arrays the compiled
+        expressions read.  Any miss means the interpreter runs — the
+        fallback contract documented in ``docs/API.md``.
         """
-        if not self.use_kernels:
+        if not self.use_kernels or spec is None:
             return None
-        spec = analyzed.kernel
-        if spec is None:
-            return None
-        if self.verify != "off" and not self._certify_kernel(analyzed, spec):
+        if self.verify != "off" and not self._certify_kernel(fn, spec):
             return None
         kernel = get_kernel(spec.kind)
         if kernel is None or not spec.compatible(state):
             return None
         return spec, kernel
 
-    def _certify_kernel(self, analyzed: AnalyzedSignal, spec) -> bool:
+    def _certify_kernel(self, fn: Callable, spec) -> bool:
         """Cross-check a classification before dispatching its kernel.
 
         With ``verify="warn"`` a refuted contract drops the fast path
-        (the per-vertex interpreter is always correct) and emits a
+        (the interpreter is always correct) and emits a
         ``RuntimeWarning``; ``verify="strict"`` re-raises the
         :class:`~repro.errors.KernelSoundnessError`.  Verdicts cache
-        per signal function for the engine's lifetime.
+        per function for the engine's lifetime.
         """
-        key = id(analyzed.original)
+        key = id(fn)
         cached = self._certified.get(key)
         if cached is not None:
             return cached
@@ -400,7 +546,7 @@ class BaseEngine:
         from repro.errors import KernelSoundnessError
 
         try:
-            sig = parse_signal(analyzed.original)
+            sig = parse_signal(fn)
             certify_spec(sig, analyze_parsed(sig), spec)
         except KernelSoundnessError as exc:
             if self.verify == "strict":
@@ -409,7 +555,7 @@ class BaseEngine:
 
             warnings.warn(
                 "kernel fast path disabled for "
-                f"{getattr(analyzed.original, '__name__', '?')}: {exc}",
+                f"{getattr(fn, '__name__', '?')}: {exc}",
                 RuntimeWarning,
                 stacklevel=4,
             )
@@ -490,8 +636,28 @@ class BaseEngine:
                 for dst in masters[remote]:
                     self.network.send(m, int(dst), "update", update_bytes)
             step.update_bytes[m] += update_bytes * n_remote
-        for v, value in zip(vertices.tolist(), values):
-            buffer.add(v, value)
+        buffer.add(vertices, values)
+
+    def _send_interp_updates(
+        self,
+        m: int,
+        emit_v: Sequence[int],
+        emit_values: Sequence[list],
+        update_bytes: int,
+        step: StepRecord,
+        buffer: "_UpdateBuffer",
+    ) -> None:
+        """Meter and buffer the interpreter's per-vertex emissions on
+        machine ``m``: one message per remote-mastered vertex, carrying
+        all of that vertex's values."""
+        master_of = self.partition.master_of
+        for v, values in zip(emit_v, emit_values):
+            master = int(master_of[v])
+            if master != m:
+                nbytes = update_bytes * len(values)
+                self.network.send(m, master, "update", nbytes)
+                step.update_bytes[m] += nbytes
+        buffer.add(*_flatten_emissions(emit_v, emit_values))
 
     def _pull_parallel(
         self,
@@ -508,7 +674,6 @@ class BaseEngine:
         no dependency to enforce.  Dispatches whole per-machine batches
         to a classified kernel when one applies."""
         phase = self._phase_begin("pull")
-        master_of = self.partition.master_of
         record = IterationRecord(mode="pull")
         step = self._make_step(phase)
         buffer = _UpdateBuffer()
@@ -544,15 +709,13 @@ class BaseEngine:
                     buffer,
                 )
                 continue
-            for v, values in zip(res["emit_v"], res["emit_values"]):
-                master = int(master_of[v])
-                if master != m:
-                    nbytes = update_bytes * len(values)
-                    self.network.send(m, master, "update", nbytes)
-                    step.update_bytes[m] += nbytes
-                for value in values:
-                    buffer.add(v, value)
-        changed, applied = buffer.apply(slot, state)
+            if self.obs is not None:
+                self.obs.interp_edges("pull", res["edges"])
+            self._send_interp_updates(
+                m, res["emit_v"], res["emit_values"], update_bytes, step,
+                buffer,
+            )
+        changed, applied = self._apply_updates(buffer, slot, state)
         record.steps = [step]
         self._count_sync(changed, sync_bytes, record)
         self.counters.add_iteration(record)
@@ -579,28 +742,32 @@ class BaseEngine:
         flag value before the next phase (e.g. the "visited" filter in
         bottom-up BFS).  Counted per (vertex, holder) pair.
         """
-        if changed.size == 0 or sync_bytes == 0 or self.num_machines == 1:
+        p = self.num_machines
+        if changed.size == 0 or sync_bytes == 0 or p == 1:
             return
         holders = self.partition._has_in[:, changed].copy()
         if self.sync_scope == "both":
             holders |= self.partition._has_out[:, changed]
         masters = self.partition.master_of[changed]
         holders[masters, np.arange(changed.size)] = False
-        per_pair = holders.sum(axis=1)  # entries per receiving machine
-        total = 0
-        for m in range(self.num_machines):
-            count = int(per_pair[m])
-            if count == 0:
-                continue
-            # sender is each vertex's master; aggregate by receiver and
-            # charge each master->receiver pair.
-            send_masters, counts = np.unique(
-                masters[holders[m]], return_counts=True
+        # counts[dst, src]: entries master src owes receiver dst
+        receivers, cols = np.nonzero(holders)
+        counts = np.bincount(
+            receivers * p + masters[cols], minlength=p * p
+        ).reshape(p, p)
+        if self._grouped_sends_ok():
+            nbytes = counts.T * sync_bytes
+            self.network.send_matrix(
+                "sync", nbytes, (counts.T > 0).astype(np.int64)
             )
-            for src, cnt in zip(send_masters, counts):
-                nbytes = int(cnt) * sync_bytes
-                self.network.send(int(src), m, "sync", nbytes)
-                total += nbytes
+            record.sync_bytes += int(nbytes.sum())
+            return
+        # one send per (master -> receiver) pair, receiver-major
+        total = 0
+        for dst, src in zip(*np.nonzero(counts)):
+            nbytes = int(counts[dst, src]) * sync_bytes
+            self.network.send(int(src), int(dst), "sync", nbytes)
+            total += nbytes
         record.sync_bytes += total
 
     def sync_state(self, vertices: np.ndarray, sync_bytes: int = 4) -> None:

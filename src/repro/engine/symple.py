@@ -41,6 +41,7 @@ from repro.engine.base import (
     PullResult,
     SignalLike,
     _UpdateBuffer,
+    _flatten_emissions,
 )
 from repro.engine.dep import DepStore
 from repro.engine.state import StateStore
@@ -331,6 +332,9 @@ class SympleGraphEngine(BaseEngine):
                         s, m, part_high_size[j], dep_payload_bytes, step
                     )
                     continue
+                emit_v: List[int] = []
+                emit_values: List[list] = []
+                interp_edges = 0
                 for v in cand:
                     v = int(v)
                     emitted: list = []
@@ -369,16 +373,21 @@ class SympleGraphEngine(BaseEngine):
                         original(v, nbrs, state, emitted.append)
                         step.low_edges[m] += nbrs.count
                         step.low_vertices[m] += 1
+                    interp_edges += nbrs.count
                     if not emitted:
                         continue
+                    # sent per vertex: a delivery hook's draws
+                    # interleave with the dep-loss draws above
                     master = int(master_of[v])
                     if master != m:
                         nbytes = update_bytes * len(emitted)
                         self.network.send(m, master, "update", nbytes)
                         step.update_bytes[m] += nbytes
-                    for value in emitted:
-                        buffer.add(v, value)
-
+                    emit_v.append(v)
+                    emit_values.append(emitted)
+                if self.obs is not None:
+                    self.obs.interp_edges("pull", interp_edges)
+                buffer.add(*_flatten_emissions(emit_v, emit_values))
                 self._circulant_handoff(
                     s, m, part_high_size[j], dep_payload_bytes, step
                 )
@@ -387,7 +396,7 @@ class SympleGraphEngine(BaseEngine):
             if self.obs is not None:
                 self.obs.step_end(s, step)
 
-        changed, applied = buffer.apply(slot, state)
+        changed, applied = self._apply_updates(buffer, slot, state)
         record.steps = steps
         self._count_sync(changed, sync_bytes, record)
         self.counters.add_iteration(record)
@@ -503,6 +512,24 @@ class SympleGraphEngine(BaseEngine):
                 low_batch.values[low_batch.emit_mask],
             ]
         )
+        self._send_circulant_updates(
+            m, j, emit_v, emit_vals, update_bytes, step, buffer
+        )
+
+    def _send_circulant_updates(
+        self,
+        m: int,
+        j: int,
+        emit_v: np.ndarray,
+        emit_vals: np.ndarray,
+        update_bytes: int,
+        step: StepRecord,
+        buffer: _UpdateBuffer,
+    ) -> None:
+        """Meter and buffer one kernel batch's emissions, merged back
+        into ascending vertex order; every destination lives on
+        partition ``j``, so a remote batch is one grouped send when
+        :meth:`_grouped_sends_ok` allows."""
         order = np.argsort(emit_v)
         emit_v = emit_v[order]
         emit_vals = emit_vals[order]
@@ -516,8 +543,7 @@ class SympleGraphEngine(BaseEngine):
                 for _ in range(count):
                     self.network.send(m, j, "update", update_bytes)
             step.update_bytes[m] += update_bytes * count
-        for v, value in zip(emit_v.tolist(), emit_vals):
-            buffer.add(v, value)
+        buffer.add(emit_v, emit_vals)
 
     def _circulant_kernel_step(
         self,
@@ -601,22 +627,9 @@ class SympleGraphEngine(BaseEngine):
                         res["low_values"][res["low_emit_mask"]],
                     ]
                 )
-                order = np.argsort(emit_v)
-                emit_v = emit_v[order]
-                emit_vals = emit_vals[order]
-                if j != m:
-                    count = int(emit_v.size)
-                    if self._grouped_sends_ok():
-                        self.network.send(
-                            m, j, "update", update_bytes * count,
-                            messages=count,
-                        )
-                    else:
-                        for _ in range(count):
-                            self.network.send(m, j, "update", update_bytes)
-                    step.update_bytes[m] += update_bytes * count
-                for v, value in zip(emit_v.tolist(), emit_vals):
-                    buffer.add(v, value)
+                self._send_circulant_updates(
+                    m, j, emit_v, emit_vals, update_bytes, step, buffer
+                )
             self._circulant_handoff(
                 s, m, part_high_size[j], dep_payload_bytes, step
             )
@@ -646,7 +659,6 @@ class SympleGraphEngine(BaseEngine):
         outgoing slices back and replays sends/buffering in the serial
         loop's order.
         """
-        master_of = self.partition.master_of
         items = []
         for m, j, cand in batches:
             high_sel = high_mask[cand]
@@ -678,14 +690,14 @@ class SympleGraphEngine(BaseEngine):
             step.low_edges[m] += res["low_edges"]
             step.high_vertices[m] += res["high_vertices"]
             step.low_vertices[m] += res["low_vertices"]
-            for v, values in zip(res["emit_v"], res["emit_values"]):
-                master = int(master_of[v])
-                if master != m:
-                    nbytes = update_bytes * len(values)
-                    self.network.send(m, master, "update", nbytes)
-                    step.update_bytes[m] += nbytes
-                for value in values:
-                    buffer.add(v, value)
+            if self.obs is not None:
+                self.obs.interp_edges(
+                    "pull", res["high_edges"] + res["low_edges"]
+                )
+            self._send_interp_updates(
+                m, res["emit_v"], res["emit_values"], update_bytes, step,
+                buffer,
+            )
             high = cand[item["high_sel"]]
             dep_store.skip[high] = res["skip_out"]
             for name in dep_store.data:

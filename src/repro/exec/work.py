@@ -24,12 +24,14 @@ crash-retry (respawn the pool, rerun the map's chunks) safe.
 
 from __future__ import annotations
 
+import weakref
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.analysis.instrument import AnalyzedSignal, instrument_signal
+from repro.analysis.kernelspec import KernelSpec, classify_push
 from repro.engine.dep import DepStore
 from repro.kernels import get_kernel
 
@@ -67,12 +69,22 @@ class WorkerContext:
         self.num_vertices = int(num_vertices)
         self.state = None
         self._analyzed: Dict[Any, AnalyzedSignal] = {}
+        self._push_specs: "weakref.WeakKeyDictionary" = (
+            weakref.WeakKeyDictionary()
+        )
 
     def local_in(self, m: int):
         return self._local_in[m]
 
     def local_out(self, m: int):
         return self._local_out[m]
+
+    def push_spec(self, push_signal: Callable) -> Optional[KernelSpec]:
+        """``classify_push(push_signal)``, cached per function object."""
+        spec = self._push_specs.get(push_signal)
+        if spec is None:
+            spec = self._push_specs[push_signal] = classify_push(push_signal)
+        return spec
 
     def analyzed(self, signal) -> AnalyzedSignal:
         if isinstance(signal, AnalyzedSignal):
@@ -274,32 +286,44 @@ def push_task(
 ) -> Dict[str, Any]:
     """One machine of the sparse push phase.
 
-    Returns the ordered effect log (``ops``) the parent replays:
-    ``("u", owner)`` for a remote frontier-state transfer, and
-    ``("e", v, value, dst_master)`` for each emitted update — the exact
-    interleaving the serial loop produced, so coalesced push messages
-    accumulate in the same dict order.
+    Returns ``owners`` — the master of each remote-mastered frontier
+    vertex, in frontier order (its state must reach this machine) —
+    and the non-None emissions as ``targets``/``values`` in the serial
+    loop's order (frontier ascending, then local out-neighbor order),
+    so coalesced push messages accumulate in the same dict order.
+    ``shared['use_kernel']`` selects the ``push_gather`` fast path.
     """
     m = int(item["m"])
     local = ctx.local_out(m)
     degs = local.degrees()
     frontier = shared["frontier"]
     cand = frontier[degs[frontier] > 0]
-    master_of = ctx.master_of
+    owners = ctx.master_of[cand]
+    out = {
+        "m": m,
+        "vertices": int(cand.size),
+        "owners": owners[owners != m],
+        "kernel": None,
+        "seconds": 0.0,
+    }
     push_signal = shared["signal"]
+    if shared["use_kernel"]:
+        spec = ctx.push_spec(push_signal)
+        t0 = perf_counter() if shared["timed"] else 0.0
+        batch = get_kernel(spec.kind)(spec, ctx.state, local, cand)
+        out["seconds"] = perf_counter() - t0 if shared["timed"] else 0.0
+        out.update(kernel=spec.kind, edges=batch.edges,
+                   targets=batch.targets, values=batch.values)
+        return out
     state = ctx.state
-    ops: List[tuple] = []
-    edges = 0
-    for u in cand:
-        u = int(u)
-        owner = int(master_of[u])
-        if owner != m:
-            ops.append(("u", owner))
-        for v in local.neighbors(u):
-            v = int(v)
-            edges += 1
+    targets: List[int] = []
+    values: list = []
+    for u in cand.tolist():
+        for v in local.neighbors(u).tolist():
             value = push_signal(u, v, state)
-            if value is None:
-                continue
-            ops.append(("e", v, value, int(master_of[v])))
-    return {"m": m, "edges": edges, "vertices": int(cand.size), "ops": ops}
+            if value is not None:
+                targets.append(v)
+                values.append(value)
+    out.update(edges=int(degs[cand].sum()),
+               targets=np.asarray(targets, dtype=np.int64), values=values)
+    return out

@@ -155,6 +155,20 @@ class CSRGraph:
         self._check_vertex(v)
         return self.out_indices[self.out_indptr[v] : self.out_indptr[v + 1]]
 
+    def out_neighbor_mask(self, vertices: np.ndarray) -> np.ndarray:
+        """Boolean mask over all vertices, True at every out-neighbor
+        of ``vertices`` (a frontier expansion in one CSR gather)."""
+        vertices = np.asarray(vertices, dtype=np.int64)
+        mask = np.zeros(self.num_vertices, dtype=bool)
+        starts = self.out_indptr[vertices]
+        lens = self.out_indptr[vertices + 1] - starts
+        total = int(lens.sum())
+        if total:
+            offsets = np.cumsum(lens) - lens
+            flat = np.repeat(starts - offsets, lens) + np.arange(total)
+            mask[self.out_indices[flat]] = True
+        return mask
+
     def in_neighbors(self, v: int) -> np.ndarray:
         """Sources of v's incoming edges (a CSR slice; do not mutate)."""
         self._check_vertex(v)

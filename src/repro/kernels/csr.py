@@ -43,15 +43,17 @@ from repro.analysis.kernelspec import (
     FIRST_MATCH_BREAK,
     FULL_SCAN_MIN,
     FULL_SCAN_SUM,
+    PUSH_GATHER,
     KernelSpec,
 )
-from repro.kernels.registry import KernelBatch, register_kernel
+from repro.kernels.registry import KernelBatch, PushBatch, register_kernel
 
 __all__ = [
     "first_match_break_kernel",
     "count_to_k_break_kernel",
     "full_scan_sum_kernel",
     "full_scan_min_kernel",
+    "push_gather_kernel",
 ]
 
 CarriedIn = Optional[Tuple[np.ndarray, np.ndarray]]
@@ -266,3 +268,33 @@ def full_scan_min_kernel(
         broke=None,
         carried=best.astype(np.float64, copy=False),
     )
+
+
+@register_kernel(PUSH_GATHER)
+def push_gather_kernel(
+    spec: KernelSpec, state, local, frontier: np.ndarray
+) -> PushBatch:
+    """One machine's push sweep as a segmented gather over ``local_out``.
+
+    Flattens the out-edge segments of ``frontier`` (all with nonzero
+    local out-degree), evaluates the ``skip``/``keep`` guard per edge,
+    and the pushed value only on the edges that emit — so a value
+    expression is never evaluated where the interpreter returned None
+    first.  Emissions keep the interpreter's order: frontier vertex
+    ascending, then local neighbor order.
+    """
+    if frontier.size == 0:
+        return PushBatch(0, np.zeros(0, dtype=np.int64), np.zeros(0))
+    lens, _, flat, _ = _segments(local, frontier)
+    u = np.repeat(frontier, lens)
+    exprs = spec.exprs
+    if "skip" in exprs:
+        emit = ~_flat_eval(exprs["skip"], state, u, flat, flat.shape, True)
+    elif "keep" in exprs:
+        emit = _flat_eval(exprs["keep"], state, u, flat, flat.shape, True)
+    else:
+        emit = None
+    if emit is not None:
+        u, flat = u[emit], flat[emit]
+    values = np.array(_flat_eval(exprs["value"], state, u, flat, flat.shape))
+    return PushBatch(edges=int(lens.sum()), targets=flat, values=values)

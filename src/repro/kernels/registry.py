@@ -6,7 +6,7 @@ package provides a vectorized implementation for that kind).  Engines
 look kinds up at pull time; an unknown kind simply means the batch is
 interpreted per vertex, so registering a new kernel is purely additive.
 
-A kernel is a callable::
+A pull kernel is a callable::
 
     kernel(spec, state, local, vertices, carried_in=None) -> KernelBatch
 
@@ -17,6 +17,15 @@ scanned, and ``vertices`` an int64 array of destination vertices (all
 with nonzero local degree).  ``carried_in`` optionally supplies
 restored loop-carried values as ``(present_mask, values)`` arrays
 aligned with ``vertices`` (the circulant dependency hand-off).
+
+The per-edge and per-update kinds have their own signatures:
+
+* ``push_gather``: ``kernel(spec, state, local, frontier) -> PushBatch``
+  over the ``local_out`` CSR slices of ``frontier``;
+* ``slot_sum``/``slot_min``/``slot_first``: ``kernel(spec, state,
+  vertices, values) -> changed | None`` applies a whole update buffer
+  in buffer order, returning ``None`` (before writing anything) when
+  the value dtypes would cast differently from the interpreter.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ import numpy as np
 
 __all__ = [
     "KernelBatch",
+    "PushBatch",
     "register_kernel",
     "get_kernel",
     "available_kernels",
@@ -57,7 +67,22 @@ class KernelBatch:
     extras: Dict[str, np.ndarray] = field(default_factory=dict)
 
 
-Kernel = Callable[..., KernelBatch]
+@dataclass
+class PushBatch:
+    """Result of one batched push sweep on one machine.
+
+    ``edges`` counts every out-edge scanned (the interpreter calls the
+    push signal once per edge); ``targets``/``values`` are the non-None
+    emissions in interpreter order — frontier vertex ascending, then
+    local out-neighbor order.
+    """
+
+    edges: int
+    targets: np.ndarray
+    values: np.ndarray
+
+
+Kernel = Callable[..., object]
 
 _REGISTRY: Dict[str, Kernel] = {}
 

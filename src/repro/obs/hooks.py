@@ -29,7 +29,19 @@ from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry, fill_run_metrics
 from repro.obs.tracer import Tracer
 
-__all__ = ["ObsHub", "step_record_payload"]
+__all__ = ["INTERP_PATHS", "ObsHub", "interp_counter", "step_record_payload"]
+
+#: the interpreter paths ``repro_interp_edges_total`` is labelled by
+INTERP_PATHS = ("pull", "push", "slot")
+
+
+def interp_counter(metrics: MetricsRegistry):
+    """The ``repro_interp_edges_total{path=...}`` counter of a registry."""
+    return metrics.counter(
+        "repro_interp_edges_total",
+        "edges/updates run by the per-edge interpreter",
+        labels=("path",),
+    )
 
 
 def step_record_payload(step) -> Dict[str, Any]:
@@ -168,6 +180,18 @@ class ObsHub:
         self._emit("kernel_batch", phase=self._phase, step=self._step,
                    machine=machine, kernel=kernel, vertices=int(vertices),
                    edges=int(edges), seconds=seconds)
+
+    def interp_edges(self, path: str, count: int) -> None:
+        """Work the interpreter ran where no kernel applied.
+
+        ``path`` is ``"pull"`` or ``"push"`` (edges scanned by a signal
+        UDF) or ``"slot"`` (updates applied one slot call at a time).
+        Metrics only — no trace event — so a kernel run and an
+        interpreted run keep identical semantic traces; a missed
+        lowering shows up as this counter instead of a silent slowdown.
+        """
+        if count:
+            interp_counter(self.metrics).inc(int(count), path=path)
 
     def exec_map_begin(self, backend: str, workers: int,
                        tasks: int) -> None:

@@ -115,6 +115,29 @@ class SimulatedNetwork:
             else:
                 self.dropped_log_entries += 1
 
+    def send_matrix(
+        self, tag: str, nbytes: np.ndarray, messages: np.ndarray
+    ) -> None:
+        """Record many transfers at once: ``nbytes[src, dst]`` bytes in
+        ``messages[src, dst]`` messages per machine pair.
+
+        Equivalent, for the traffic/message matrices and the counters,
+        to one :meth:`send` per nonzero pair — but never consults the
+        delivery hook or the trace log, so callers must only use it
+        when neither is active.  The diagonal must be zero.
+        """
+        if tag not in self.traffic:
+            raise EngineError(f"unknown communication tag {tag!r}")
+        if self.delivery_hook is not None or self.trace:
+            raise EngineError(
+                "send_matrix bypasses the delivery hook and trace log"
+            )
+        if np.diagonal(nbytes).any() or (nbytes < 0).any():
+            raise EngineError("send_matrix needs non-negative remote bytes")
+        self.traffic[tag] += nbytes
+        self.message_counts[tag] += messages
+        self.counters.add_bytes(tag, int(nbytes.sum()), int(messages.sum()))
+
     # -- queries -----------------------------------------------------------
 
     def bytes_sent(self, tag: str | None = None) -> int:

@@ -29,7 +29,7 @@ import time
 from collections import deque
 from typing import Deque, Dict, List, Optional
 
-from repro.obs.hooks import ObsHub
+from repro.obs.hooks import INTERP_PATHS, ObsHub, interp_counter
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["ServeMetrics", "percentile"]
@@ -113,6 +113,10 @@ class ServeMetrics:
         # the full taxonomy, scrapes before the first rejection included
         for status in STATUSES:
             self._requests.inc(0.0, status=status)
+        # likewise every interpreter-fallback path: a missed kernel
+        # lowering shows as a nonzero sample, never as a missing one
+        for path in INTERP_PATHS:
+            interp_counter(reg).inc(0.0, path=path)
 
     def hub(self) -> ObsHub:
         """A fresh ObsHub feeding this registry.

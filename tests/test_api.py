@@ -177,6 +177,15 @@ class TestSession:
         assert not closes
         ex.close()
 
+    @pytest.mark.parametrize("algorithm", ["bfs", "sssp"])
+    def test_out_of_range_sources_raise_engine_error(self, graph, algorithm):
+        n = graph.num_vertices
+        with Session(graph, RunConfig(machines=4)) as session:
+            with pytest.raises(EngineError, match="out of range"):
+                session.run(algorithm=algorithm, sources=(n,))
+        with pytest.raises(EngineError):
+            RunConfig(machines=4, sources=(-1,))
+
     def test_digest_distinguishes_configs(self, graph):
         with Session(graph, RunConfig(machines=4, bfs_roots=1)) as session:
             assert session.run().digest() == session.run().digest()

@@ -31,9 +31,8 @@ class TestUpdateBuffer:
             log.append((v, value))
             return False
 
-        buffer.add(3, "a")
-        buffer.add(1, "b")
-        buffer.add(3, "c")
+        buffer.add(np.array([3, 1]), ["a", "b"])
+        buffer.add(np.array([3]), ["c"])
         changed, applied = buffer.apply(slot, None)
         assert log == [(3, "a"), (1, "b"), (3, "c")]
         assert applied == 3
@@ -41,8 +40,7 @@ class TestUpdateBuffer:
 
     def test_changed_deduplicates(self):
         buffer = _UpdateBuffer()
-        buffer.add(5, 1)
-        buffer.add(5, 2)
+        buffer.add(np.array([5, 5]), np.array([1, 2]))
         changed, _ = buffer.apply(lambda v, x, s: True, None)
         assert changed.tolist() == [5]
 

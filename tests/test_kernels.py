@@ -27,6 +27,8 @@ from repro.analysis.kernelspec import (
     FIRST_MATCH_BREAK,
     FULL_SCAN_MIN,
     FULL_SCAN_SUM,
+    PUSH_GATHER,
+    SLOT_KINDS,
 )
 from repro.engine import SympleGraphEngine, SympleOptions
 from repro.engine.state import StateStore
@@ -142,6 +144,7 @@ class TestRegistry:
         kinds = available_kernels()
         for kind in (
             FIRST_MATCH_BREAK, COUNT_TO_K_BREAK, FULL_SCAN_SUM, FULL_SCAN_MIN,
+            PUSH_GATHER, *SLOT_KINDS,
         ):
             assert kind in kinds
             assert callable(get_kernel(kind))

@@ -360,6 +360,16 @@ class TestHttp:
         assert status == 400
         assert payload["error"]
 
+    def test_out_of_range_source_400(self, server, graph):
+        n = graph.num_vertices
+        status, _, payload = _post(
+            server.port,
+            {"graph": "demo", "algorithm": "bfs", "machines": 4,
+             "sources": [n]},
+        )
+        assert status == 400
+        assert "out of range" in payload["error"]
+
     def test_concurrent_queries_all_digest_equivalent(self, server, graph):
         """The bench's core gate, in miniature: whatever batches the
         coalescer formed, every response replays bit-identically."""
@@ -394,6 +404,8 @@ class TestHttp:
         assert "# TYPE repro_serve_batch_size histogram" in body
         # engine-level events of served runs land in the same registry
         assert "repro_phases_total" in body
+        for path in ("pull", "push", "slot"):
+            assert f'repro_interp_edges_total{{path="{path}"}}' in body
 
     def test_stats_endpoint_reports_percentiles(self, server):
         status, body = _get(server.port, "/stats")
